@@ -90,9 +90,9 @@ fn bench_buffered_hop(c: &mut Criterion) {
     });
 }
 
-/// The two switch-allocation arbiters, slice versus bitmask request vectors
-/// (mSA-I shape: 6 VC requestors; mSA-II shape: 5 port requestors). The mask
-/// paths are what the router's hot loop feeds every cycle.
+/// The two switch-allocation arbiters on bitmask request vectors (mSA-I
+/// shape: 6 VC requestors; mSA-II shape: 5 port requestors), as the router's
+/// hot loop feeds them every cycle.
 fn bench_arbiters(c: &mut Criterion) {
     use noc_router::{MatrixArbiter, RoundRobinArbiter};
 
@@ -104,16 +104,6 @@ fn bench_arbiters(c: &mut Criterion) {
             black_box(rr.arbitrate_mask(pattern & 0x3F | 1))
         });
     });
-    let mut rr = RoundRobinArbiter::new(6);
-    let mut pattern = 0u32;
-    c.bench_function("arbiter_msa1_rr_slice", |b| {
-        b.iter(|| {
-            pattern = pattern.wrapping_add(0x9E37_79B9);
-            let bits = pattern & 0x3F | 1;
-            let requests: [bool; 6] = std::array::from_fn(|i| bits >> i & 1 != 0);
-            black_box(rr.arbitrate(&requests))
-        });
-    });
 
     let mut matrix = MatrixArbiter::new(5);
     let mut pattern = 0u32;
@@ -121,16 +111,6 @@ fn bench_arbiters(c: &mut Criterion) {
         b.iter(|| {
             pattern = pattern.wrapping_add(0x9E37_79B9);
             black_box(matrix.arbitrate_mask(pattern & 0x1F | 1))
-        });
-    });
-    let mut matrix = MatrixArbiter::new(5);
-    let mut pattern = 0u32;
-    c.bench_function("arbiter_msa2_matrix_slice", |b| {
-        b.iter(|| {
-            pattern = pattern.wrapping_add(0x9E37_79B9);
-            let bits = pattern & 0x1F | 1;
-            let requests: [bool; 5] = std::array::from_fn(|i| bits >> i & 1 != 0);
-            black_box(matrix.arbitrate(&requests))
         });
     });
 }

@@ -70,7 +70,7 @@ fn bench_step_8x8_saturated(c: &mut Criterion) {
 /// Partitioned stepping: the same saturated 8×8 workload stepped by two
 /// row-strip partitions through the persistent pool. On a multi-core host
 /// this should approach half the serial cost; on a single-core runner it
-/// instead measures the barrier + mailbox-merge overhead (the `_2t` suffix
+/// instead measures the partition handoff + mailbox-merge overhead (the `_2t` suffix
 /// is how `bench_diff` knows the thread count).
 fn bench_step_8x8_saturated_2t(c: &mut Criterion) {
     let config = NocConfig::proposed_chip()

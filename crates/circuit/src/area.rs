@@ -8,10 +8,8 @@
 //! state that are common to both designs, and it shrinks further once a tile
 //! (core + cache + router) is considered.
 
-use serde::{Deserialize, Serialize};
-
 /// Area accounting for one router in square micrometres.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Area of one bit-slice of the synthesized full-swing 5×5 crossbar (µm²).
     pub full_swing_xbar_per_bit_um2: f64,
@@ -122,7 +120,7 @@ impl Default for AreaModel {
 }
 
 /// The contents of Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaReport {
     /// Synthesized full-swing crossbar area (µm²).
     pub full_swing_crossbar_um2: f64,

@@ -6,14 +6,12 @@
 //! repeated option has a larger vertical eye (more noise margin) under wire
 //! resistance variation, but costs one additional cycle and ~28% more energy.
 
-use serde::{Deserialize, Serialize};
-
 use crate::lowswing::LowSwingLink;
 use crate::params;
 use crate::wire::Wire;
 
 /// Physical arrangement of a low-swing span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkTopology {
     /// The span is broken into equal segments with an RSD repeater between
     /// them; each segment takes one clock cycle.
@@ -26,7 +24,7 @@ pub enum LinkTopology {
 }
 
 /// Eye/noise-margin analysis of one low-swing span.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EyeAnalysis {
     span_mm: f64,
     swing_v: f64,

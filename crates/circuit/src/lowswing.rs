@@ -1,12 +1,10 @@
 //! Low-swing versus full-swing link energetics and speed (Figs. 7 and 11).
 
-use serde::{Deserialize, Serialize};
-
 use crate::params;
 use crate::wire::Wire;
 
 /// Which signaling technology drives a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkTechnology {
     /// Differential reduced-swing signaling from a tri-state RSD into a sense
     /// amplifier (the proposed datapath).
@@ -26,7 +24,7 @@ pub enum LinkTechnology {
 /// // The 300 mV tri-state RSD supports single-cycle ST+LT beyond 5 GHz.
 /// assert!(link.max_frequency_ghz() > 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LowSwingLink {
     wire: Wire,
     swing_v: f64,
@@ -140,7 +138,7 @@ impl LowSwingLink {
 
 /// One point of the Fig. 11 study: dynamic power of the 1-bit 5×5 tri-state
 /// RSD crossbar with 1 mm links as a function of multicast fan-out.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MulticastPowerPoint {
     /// Number of output ports driven simultaneously (1 = unicast,
     /// 4 = broadcast from one input of a 5×5 crossbar).

@@ -14,10 +14,8 @@
 //! (The paper prints "ns", but the values are clearly the picosecond periods
 //! of a ~1–2 GHz clock; we model them as picoseconds.)
 
-use serde::{Deserialize, Serialize};
-
 /// One contributor to the stage-2 critical path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimingStage {
     /// Human-readable name of the path segment.
     pub name: String,
@@ -26,7 +24,7 @@ pub struct TimingStage {
 }
 
 /// Critical-path model of the router's allocation stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CriticalPathModel {
     stages: Vec<TimingStage>,
     /// Extra delay added by the lookahead priority mux and the wider
@@ -156,7 +154,7 @@ impl Default for CriticalPathModel {
 }
 
 /// The rows of Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CriticalPathReport {
     /// Baseline router, pre-layout synthesis estimate (ps).
     pub baseline_pre_layout_ps: f64,

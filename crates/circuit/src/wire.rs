@@ -1,7 +1,5 @@
 //! First-order RC wire model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::params;
 
 /// A distributed RC wire of a given length.
@@ -9,7 +7,7 @@ use crate::params;
 /// The chip's link wires are 0.15 µm wide with 0.30 µm spacing, fully
 /// shielded and routed differentially; [`Wire::link_45nm`] builds a wire with
 /// the calibrated per-millimetre resistance and capacitance of that geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wire {
     length_mm: f64,
     r_per_mm: f64,

@@ -4,14 +4,13 @@ use noc_power::EnergyParams;
 use noc_router::RouterConfig;
 use noc_traffic::{SeedMode, SpatialPattern, TrafficMix};
 use noc_types::{ConfigError, NocError};
-use serde::{Deserialize, Serialize};
 
 /// Which signaling technology the datapath (crossbar + links) uses.
 ///
 /// This only affects energy accounting — both datapaths support single-cycle
 /// ST+LT at 1 GHz (the paper explicitly chooses a baseline with single-cycle
 /// ST+LT because even a full-swing datapath can achieve it at 1 GHz).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatapathKind {
     /// Conventional full-swing repeated wires.
     FullSwing,
@@ -20,7 +19,7 @@ pub enum DatapathKind {
 }
 
 /// The named network configurations measured in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetworkVariant {
     /// The textbook 4-stage baseline router of Fig. 1 (separate ST and LT
     /// stages), full-swing datapath, broadcasts duplicated at the NIC.
@@ -90,7 +89,7 @@ impl NetworkVariant {
 }
 
 /// Full configuration of one simulated network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocConfig {
     /// Mesh side length (4 for the fabricated chip).
     pub k: u16,

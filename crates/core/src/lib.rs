@@ -55,6 +55,7 @@
 //! # Ok::<(), noc_types::NocError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -24,7 +24,7 @@
 //! Because every within-cycle delivery commutes and the merge order is
 //! fixed, a partitioned run is **bit-identical to the serial one for any
 //! shape and thread count** (`tests/determinism.rs` pins this). With one
-//! partition (the default) the step runs inline with no barriers, pool or
+//! partition (the default) the step runs inline with no pool, channels or
 //! locking.
 //!
 //! With [`set_rebalance_epoch`](Network::set_rebalance_epoch), the network
@@ -35,6 +35,7 @@
 //! function of the simulation — rebalanced runs stay bit-identical too.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use noc_sim::{ActivityCounters, BoundaryMailbox, Clock, LatencyStats, ThroughputStats};
 use noc_topology::{Mesh, PartitionMap};
@@ -138,8 +139,9 @@ pub struct Network {
     partitions: Vec<Partition>,
     /// Boundary mailboxes, one per *directed* adjacent-partition edge, in
     /// the fixed order `wire_edges` produced them (ascending source
-    /// partition, then [`Direction::ALL`] order).
-    edges: Vec<DirectedEdge>,
+    /// partition, then [`Direction::ALL`] order). Shared with the pool
+    /// workers by reference count; built once per (re)wire.
+    edges: Arc<[DirectedEdge]>,
     /// Recompute the cuts from accumulated node weights every this many
     /// cycles (`None` disables rebalancing).
     rebalance_epoch: Option<u64>,
@@ -296,7 +298,7 @@ impl Network {
     /// the partition grid, one [`DirectedEdge`] carrying that partition's
     /// departing events to the neighbour. The order is a pure function of
     /// the map, so the merge point's fixed edge sweep is deterministic.
-    fn wire_edges(map: &PartitionMap, partitions: &mut [Partition]) -> Vec<DirectedEdge> {
+    fn wire_edges(map: &PartitionMap, partitions: &mut [Partition]) -> Arc<[DirectedEdge]> {
         let mut edges = Vec::new();
         for (p, partition) in partitions.iter_mut().enumerate() {
             for dir in Direction::ALL {
@@ -309,7 +311,7 @@ impl Network {
                 }
             }
         }
-        edges
+        edges.into()
     }
 
     /// The configuration this network was built from.
@@ -797,12 +799,12 @@ impl Network {
     /// measurement phases inject; the drain phase does not).
     ///
     /// With one partition the cycle runs inline; with more, each partition
-    /// steps on its own thread between two barriers and this (main) thread
-    /// then performs the deterministic merge: boundary mailboxes are drained
-    /// in fixed edge order, buffered packet registrations are applied in
-    /// ascending partition order and buffered receptions in ascending
-    /// destination-node order — exactly the order a serial node scan would
-    /// have produced them in.
+    /// moves by value to its own pool thread for the cycle and back, and
+    /// this (main) thread then performs the deterministic merge: boundary
+    /// mailboxes are drained in fixed edge order, buffered packet
+    /// registrations are applied in ascending partition order and buffered
+    /// receptions in ascending destination-node order — exactly the order a
+    /// serial node scan would have produced them in.
     pub fn step(&mut self, inject: bool) {
         let ctx = StepCtx {
             now: self.clock.now(),

@@ -7,7 +7,7 @@
 //! can run one full network cycle touching nothing but its own state —
 //! except for events crossing a partition boundary, which it accumulates
 //! into per-direction outboxes and hands to the grid neighbour on that side
-//! through a per-directed-edge [`BoundaryMailbox`] at the cycle barrier. The
+//! through a per-directed-edge [`BoundaryMailbox`] by the end of the cycle. The
 //! `Network` then drains the mailboxes in fixed edge order and merges
 //! buffered receptions/registrations at a single-threaded merge point
 //! (receptions in ascending destination-node order — exactly the serial
@@ -31,8 +31,8 @@
 //! via [`Partition::dismantle`] / [`Partition::assemble`] without perturbing
 //! a single bit of the simulation.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use noc_router::{Departure, Lookahead, Router, RouterOutput};
@@ -127,8 +127,8 @@ pub(crate) struct DirectedEdge {
     pub(crate) mailbox: BoundaryMailbox<BoundaryEvent>,
 }
 
-/// Per-cycle parameters shared by every partition's step, copied into the
-/// worker pool's job slot.
+/// Per-cycle parameters shared by every partition's step, copied into each
+/// pool worker's job.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StepCtx {
     pub(crate) now: Cycle,
@@ -443,7 +443,7 @@ impl Partition {
     }
 
     /// Schedules a boundary event arriving from a neighbouring partition
-    /// (called by the network's merge point, after the cycle barrier).
+    /// (called by the network's merge point, once every partition has stepped).
     pub(crate) fn accept_boundary(&mut self, event: BoundaryEvent) {
         match event {
             BoundaryEvent::Flit {
@@ -951,61 +951,22 @@ fn full_awake_mask(words: usize, count: usize) -> Vec<u64> {
     mask
 }
 
-/// The work order the main thread publishes to the pool for one cycle:
-/// raw access to the partition slice and edge mailboxes plus the copied
-/// step parameters. Workers only ever touch `partitions[slot + 1]` for
-/// their own fixed slot, so the `*mut` aliases are disjoint; the mailboxes
-/// are shared read-only structure with interior mutability.
-#[derive(Debug, Clone, Copy)]
-struct StepJob {
-    partitions: *mut Partition,
-    count: usize,
-    edges: *const DirectedEdge,
-    edge_count: usize,
-    ctx: StepCtx,
-}
-
-// SAFETY: the pointers refer to the `Network`'s partition and edge vectors,
-// which outlive the job (the main thread publishes a job, waits for the done
-// barrier, and only then regains mutable access); `Partition` and
-// `DirectedEdge` own no thread-affine state (asserted below), and each
-// worker dereferences a distinct element.
-unsafe impl Send for StepJob {}
-
-/// Compile-time proof that partition state may move between threads — the
-/// `unsafe impl Send for StepJob` above leans on this.
-#[allow(dead_code)]
-fn assert_partition_state_is_send_sync() {
-    fn assert_send<T: Send>() {}
-    fn assert_sync<T: Sync>() {}
-    assert_send::<Partition>();
-    assert_send::<DirectedEdge>();
-    assert_sync::<DirectedEdge>();
-}
-
-/// State shared between the main thread and the pool workers.
-#[derive(Debug)]
-struct PoolShared {
-    /// Cycle-start barrier: main publishes a job (or the shutdown flag) and
-    /// everyone crosses together.
-    start: Barrier,
-    /// Cycle-end barrier: every partition has finished and pushed its
-    /// boundary batches; the main thread may merge.
-    done: Barrier,
-    /// The job for the current cycle (uncontended: written before the start
-    /// barrier, read after it).
-    job: Mutex<Option<StepJob>>,
-    shutdown: AtomicBool,
-}
+/// One cycle's work order for a pool worker: the partition it steps (moved
+/// in by value), a handle on the shared edge mailboxes and the step
+/// parameters.
+type StepJob = (Partition, Arc<[DirectedEdge]>, StepCtx);
 
 /// A persistent pool of `threads - 1` workers that step partitions
-/// `1..threads` while the main thread steps partition 0, synchronised by a
-/// start and a done barrier per cycle. Spawned once per
-/// `Network::set_step_threads` configuration and reused every step, so the
-/// steady state pays two barrier crossings and zero thread spawns per cycle.
+/// `1..threads` while the main thread steps partition 0. Each cycle the main
+/// thread moves partition `slot + 1` to worker `slot` over a one-slot
+/// channel and takes it back over another, so every partition has exactly
+/// one owner at every instant. Spawned once per `Network::set_step_threads`
+/// configuration and reused every step; dropping the pool closes the job
+/// channels, which ends the workers.
 #[derive(Debug)]
 pub(crate) struct StepPool {
-    shared: Arc<PoolShared>,
+    jobs: Vec<SyncSender<StepJob>>,
+    done: Vec<Receiver<Partition>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -1015,92 +976,72 @@ impl StepPool {
     /// steps inline without a pool).
     pub(crate) fn spawn(threads: usize) -> Self {
         debug_assert!(threads >= 2, "a pool needs at least one worker");
-        let shared = Arc::new(PoolShared {
-            start: Barrier::new(threads),
-            done: Barrier::new(threads),
-            job: Mutex::new(None),
-            shutdown: AtomicBool::new(false),
-        });
-        let workers = (0..threads - 1)
-            .map(|slot| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("noc-step-{}", slot + 1))
-                    .spawn(move || worker_loop(&shared, slot))
-                    .expect("spawning a step worker thread")
-            })
-            .collect();
-        Self { shared, workers }
+        let mut pool = Self {
+            jobs: Vec::with_capacity(threads - 1),
+            done: Vec::with_capacity(threads - 1),
+            workers: Vec::with_capacity(threads - 1),
+        };
+        for slot in 0..threads - 1 {
+            let (job_tx, job_rx) = mpsc::sync_channel::<StepJob>(1);
+            let (done_tx, done_rx) = mpsc::sync_channel(1);
+            let worker = std::thread::Builder::new()
+                .name(format!("noc-step-{}", slot + 1))
+                .spawn(move || {
+                    for (mut partition, edges, ctx) in job_rx {
+                        partition.step_cycle(&ctx, &edges);
+                        if done_tx.send(partition).is_err() {
+                            return;
+                        }
+                    }
+                })
+                .expect("spawning a step worker thread");
+            pool.jobs.push(job_tx);
+            pool.done.push(done_rx);
+            pool.workers.push(worker);
+        }
+        pool
     }
 
-    /// Number of step threads (main included) this pool synchronises.
+    /// Number of step threads (main included) this pool runs.
     pub(crate) fn threads(&self) -> usize {
         self.workers.len() + 1
     }
 
-    /// Runs one cycle: publishes the job, steps partition 0 on the calling
-    /// thread while the workers step the rest, and returns after the done
-    /// barrier — at which point every partition has pushed its boundary
-    /// batches and the caller holds exclusive access again.
+    /// Runs one cycle: hands partitions `1..` to the workers, steps
+    /// partition 0 on the calling thread, and takes the others back in slot
+    /// order — at which point every partition has pushed its boundary
+    /// batches and `partitions` is whole again, in its original order.
     ///
-    /// `partitions.len()` must be at least [`Self::threads`]... exactly: one
-    /// partition per thread.
-    pub(crate) fn step(&self, partitions: &mut [Partition], edges: &[DirectedEdge], ctx: StepCtx) {
-        debug_assert_eq!(partitions.len(), self.threads());
-        let base = partitions.as_mut_ptr();
-        let job = StepJob {
-            partitions: base,
-            count: partitions.len(),
-            edges: edges.as_ptr(),
-            edge_count: edges.len(),
-            ctx,
-        };
-        *self.shared.job.lock().expect("step pool poisoned") = Some(job);
-        self.shared.start.wait();
-        // SAFETY: workers only touch partitions[1..]; partition 0 is ours.
-        // Going through the same base pointer (rather than re-borrowing the
-        // slice) keeps the accesses provenance-disjoint.
-        let first = unsafe { &mut *base };
-        first.step_cycle(&ctx, edges);
-        self.shared.done.wait();
+    /// `partitions.len()` must equal [`Self::threads`]: one partition per
+    /// thread.
+    pub(crate) fn step(
+        &self,
+        partitions: &mut Vec<Partition>,
+        edges: &Arc<[DirectedEdge]>,
+        ctx: StepCtx,
+    ) {
+        assert_eq!(
+            partitions.len(),
+            self.threads(),
+            "one partition per step thread"
+        );
+        for (job, partition) in self.jobs.iter().zip(partitions.drain(1..)) {
+            job.send((partition, Arc::clone(edges), ctx))
+                .expect("step worker exited");
+        }
+        partitions[0].step_cycle(&ctx, edges);
+        for done in &self.done {
+            partitions.push(done.recv().expect("step worker panicked"));
+        }
     }
 }
 
 impl Drop for StepPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Release the workers from their start barrier; they observe the
-        // flag and exit without touching the (absent) job.
-        self.shared.start.wait();
+        // Closing the job channels ends each worker's receive loop.
+        self.jobs.clear();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-    }
-}
-
-fn worker_loop(shared: &PoolShared, slot: usize) {
-    loop {
-        shared.start.wait();
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let job = shared
-            .job
-            .lock()
-            .expect("step pool poisoned")
-            .expect("start barrier crossed without a published job");
-        if slot + 1 < job.count {
-            // SAFETY: each worker owns exactly partition `slot + 1` for the
-            // duration of the cycle; the main thread owns partition 0 and
-            // does not reclaim the slice until the done barrier.
-            let partition = unsafe { &mut *job.partitions.add(slot + 1) };
-            // SAFETY: `edges`/`edge_count` were captured from the live edge
-            // vector, which the main thread keeps alive (and borrows only
-            // immutably) until the done barrier; mailboxes synchronise
-            // internally.
-            let edges = unsafe { std::slice::from_raw_parts(job.edges, job.edge_count) };
-            partition.step_cycle(&job.ctx, edges);
-        }
-        shared.done.wait();
     }
 }

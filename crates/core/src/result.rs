@@ -2,10 +2,9 @@
 
 use noc_power::{EnergyParams, PowerBreakdown};
 use noc_sim::ActivityCounters;
-use serde::{Deserialize, Serialize};
 
 /// Everything measured during one simulation at a fixed injection rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationResult {
     /// Offered flit injection rate per node per cycle.
     pub injection_rate: f64,

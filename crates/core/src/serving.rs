@@ -44,13 +44,13 @@ use std::time::Instant;
 
 use noc_sim::LatencyStats;
 use noc_types::{
-    ConfigError, Cycle, DestinationSet, NocError, NodeId, Packet, PacketId, PacketKind,
+    ConfigError, Cycle, DestinationSet, NocError, NodeId, Packet, PacketId, PacketKind, SplitMix64,
 };
 
 use crate::config::NocConfig;
 use crate::network::Network;
 use crate::nic::Reception;
-use crate::sweep::SweepRunner;
+use crate::sweep::{capped_step_threads, shard_points, SweepRunner};
 
 /// Tag bit marking closed-loop request packet ids (bit 59 — flit ids are
 /// `packet_id * 16 + seq`, so packet ids must stay below 2^60).
@@ -92,8 +92,8 @@ impl Default for ServingOpts {
 struct Client {
     node: NodeId,
     outstanding: u32,
-    /// SplitMix64 state driving this client's destination draws.
-    rng: u64,
+    /// Stream driving this client's destination draws.
+    rng: SplitMix64,
     next_seq: u64,
 }
 
@@ -217,7 +217,7 @@ impl ClosedLoop {
             .map(|i| Client {
                 node: NodeId::try_from(i % nodes).expect("mesh nodes fit NodeId"),
                 outstanding: 0,
-                rng: splitmix_seed(config.base_seed, i),
+                rng: client_rng(config.base_seed, i),
                 next_seq: 0,
             })
             .collect();
@@ -466,7 +466,7 @@ impl ClosedLoop {
         let nodes = u64::from(self.network.config().k) * u64::from(self.network.config().k);
         let client = &mut self.clients[ci];
         // Uniform draw over the other nodes.
-        let draw = splitmix_next(&mut client.rng) % (nodes - 1);
+        let draw = client.rng.next_u64() % (nodes - 1);
         let dest = if draw >= u64::from(client.node) {
             draw + 1
         } else {
@@ -624,49 +624,15 @@ impl ServingRunner {
         );
         let sweep_start = Instant::now();
         let jobs = self.jobs.min(populations.len());
-        let step_threads = SweepRunner::new(jobs)
-            .with_step_threads(self.step_threads)?
-            .effective_step_threads(jobs);
-        let mut outcomes: Vec<Option<ServingPointOutcome>> = vec![None; populations.len()];
-
-        if jobs <= 1 {
-            for (index, slot) in outcomes.iter_mut().enumerate() {
-                *slot = Some(self.run_point(&config, populations, index, step_threads)?);
-            }
-        } else {
-            let results: Vec<Result<Vec<(usize, ServingPointOutcome)>, NocError>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..jobs)
-                        .map(|worker| {
-                            scope.spawn(move || {
-                                let mut mine = Vec::new();
-                                for index in (worker..populations.len()).step_by(jobs) {
-                                    mine.push((
-                                        index,
-                                        self.run_point(&config, populations, index, step_threads)?,
-                                    ));
-                                }
-                                Ok(mine)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("serving worker thread panicked"))
-                        .collect()
-                });
-            for worker_results in results {
-                for (index, outcome) in worker_results? {
-                    outcomes[index] = Some(outcome);
-                }
-            }
-        }
+        let step_threads = capped_step_threads(self.step_threads, jobs);
+        let points = shard_points(jobs, populations.len(), |indices| {
+            indices
+                .map(|index| self.run_point(&config, populations, index, step_threads))
+                .collect()
+        })?;
 
         Ok(ServingOutcome {
-            points: outcomes
-                .into_iter()
-                .map(|o| o.expect("every population point was simulated"))
-                .collect(),
+            points,
             total_wall_ms: sweep_start.elapsed().as_secs_f64() * 1_000.0,
         })
     }
@@ -691,22 +657,14 @@ impl ServingRunner {
     }
 }
 
-/// Seeds client `index`'s SplitMix64 stream from the configuration seed.
-fn splitmix_seed(base_seed: u16, index: usize) -> u64 {
-    let mut state =
-        (u64::from(base_seed) << 32) ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+/// Client `index`'s destination stream, seeded from the configuration seed.
+fn client_rng(base_seed: u16, index: usize) -> SplitMix64 {
+    let mut rng = SplitMix64::new(
+        (u64::from(base_seed) << 32) ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    );
     // Burn one output so adjacent clients decorrelate immediately.
-    splitmix_next(&mut state);
-    state
-}
-
-/// One SplitMix64 step (same finalizer the sweep point seeds use).
-fn splitmix_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    rng.next_u64();
+    rng
 }
 
 #[cfg(test)]

@@ -31,11 +31,12 @@
 //! exceeds the machine's available parallelism — and since both axes are
 //! bit-deterministic, any combination produces the same curve.
 
+use std::iter::StepBy;
+use std::ops::Range;
 use std::time::Instant;
 
 use noc_topology::limits::MeshLimits;
-use noc_types::{ConfigError, NocError};
-use serde::{Deserialize, Serialize};
+use noc_types::{ConfigError, NocError, SplitMix64};
 
 use crate::config::NocConfig;
 use crate::network::PartitionShape;
@@ -43,7 +44,7 @@ use crate::result::SimulationResult;
 use crate::simulation::Simulation;
 
 /// One sweep point: a simulation at one injection rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Offered injection rate (flits/node/cycle).
     pub injection_rate: f64,
@@ -70,7 +71,7 @@ impl From<&SimulationResult> for SweepPoint {
 }
 
 /// A full latency-throughput curve for one network configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepCurve {
     /// Points in increasing injection-rate order.
     pub points: Vec<SweepPoint>,
@@ -117,7 +118,7 @@ impl SweepCurve {
 
 /// Side-by-side comparison of a proposed and a baseline curve, plus the
 /// theoretical limits — the numbers §4.1 quotes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepComparison {
     /// The proposed network's curve.
     pub proposed: SweepCurve,
@@ -300,21 +301,18 @@ impl SweepRunner {
     /// never oversubscribe the machine together.
     #[must_use]
     pub fn effective_step_threads(&self, jobs: usize) -> usize {
-        let available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        self.step_threads.min((available / jobs.max(1)).max(1))
+        capped_step_threads(self.step_threads, jobs)
     }
 
-    /// The PRBS base seed of sweep point `index` under `config`: a SplitMix64
-    /// finalizer over (configured base seed, index), truncated to the LFSR
-    /// width. Depends only on its inputs — never on thread count or
-    /// execution order.
+    /// The PRBS base seed of sweep point `index` under `config`: the first
+    /// [`SplitMix64`] output seeded from (configured base seed, index),
+    /// truncated to the LFSR width. Depends only on its inputs — never on
+    /// thread count or execution order.
     #[must_use]
     pub fn point_seed(config: &NocConfig, index: usize) -> u16 {
-        let mut z = (u64::from(config.base_seed) << 32) ^ (index as u64).wrapping_add(1);
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z =
+            SplitMix64::new((u64::from(config.base_seed) << 32) ^ (index as u64).wrapping_add(1))
+                .next_u64();
         // The LFSR remaps 0 to a fixed constant; fold to a non-zero seed
         // ourselves so distinct points can never alias through that remap.
         let seed = (z & 0xFFFF) as u16;
@@ -340,51 +338,14 @@ impl SweepRunner {
         let sweep_start = Instant::now();
         let jobs = self.jobs.min(rates.len());
         let step_threads = self.effective_step_threads(jobs);
-        let mut outcomes: Vec<Option<SweepPointOutcome>> = vec![None; rates.len()];
-
-        if jobs <= 1 {
+        // Each worker batches its points through one warmed simulation
+        // (reset between points, buffers kept).
+        let points = shard_points(jobs, rates.len(), |indices| {
             let mut sim = self.build_simulation(config, step_threads)?;
-            for (index, slot) in outcomes.iter_mut().enumerate() {
-                *slot = Some(self.run_point(&mut sim, &config, rates, index)?);
-            }
-        } else {
-            // Round-robin sharding; each worker batches its points through
-            // one warmed simulation (reset between points, buffers kept) and
-            // returns (index, outcome) pairs that are stitched back together
-            // in index order.
-            let results: Vec<Result<Vec<(usize, SweepPointOutcome)>, NocError>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..jobs)
-                        .map(|worker| {
-                            scope.spawn(move || {
-                                let mut sim = self.build_simulation(config, step_threads)?;
-                                let mut mine = Vec::new();
-                                for index in (worker..rates.len()).step_by(jobs) {
-                                    mine.push((
-                                        index,
-                                        self.run_point(&mut sim, &config, rates, index)?,
-                                    ));
-                                }
-                                Ok(mine)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("sweep worker thread panicked"))
-                        .collect()
-                });
-            for worker_results in results {
-                for (index, outcome) in worker_results? {
-                    outcomes[index] = Some(outcome);
-                }
-            }
-        }
-
-        let points: Vec<SweepPointOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every sweep point was simulated"))
-            .collect();
+            indices
+                .map(|index| self.run_point(&mut sim, &config, rates, index))
+                .collect()
+        })?;
         let curve =
             SweepCurve::from_points(points.iter().map(|p| SweepPoint::from(&p.result)).collect());
         Ok(SweepOutcome {
@@ -431,6 +392,57 @@ impl SweepRunner {
             wall_ms: start.elapsed().as_secs_f64() * 1_000.0,
         })
     }
+}
+
+/// `step_threads` capped at `max(1, available_parallelism / jobs)`, so
+/// `jobs` workers of that many step threads each never oversubscribe the
+/// machine.
+pub(crate) fn capped_step_threads(step_threads: usize, jobs: usize) -> usize {
+    let available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    step_threads.min((available / jobs.max(1)).max(1))
+}
+
+/// Runs `points` indexed jobs over `jobs` round-robin shards and returns
+/// their outcomes in index order. `worker` receives one shard's index stream
+/// (`w, w + jobs, w + 2·jobs, …`) and returns that shard's outcomes in stream
+/// order; with `jobs <= 1` it runs once, inline, over every index. The
+/// stitch is a pure function of the indices, so the result never depends on
+/// scheduling; the first error in shard order wins.
+///
+/// # Panics
+///
+/// Panics if a worker thread panics.
+pub(crate) fn shard_points<T, F>(jobs: usize, points: usize, worker: F) -> Result<Vec<T>, NocError>
+where
+    T: Send,
+    F: Fn(StepBy<Range<usize>>) -> Result<Vec<T>, NocError> + Sync,
+{
+    if jobs <= 1 {
+        return worker((0..points).step_by(1));
+    }
+    let shards: Vec<Result<Vec<T>, NocError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..jobs)
+            .map(|w| {
+                let worker = &worker;
+                scope.spawn(move || worker((w..points).step_by(jobs)))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sweep worker thread panicked"))
+            .collect()
+    });
+    let mut shards = shards
+        .into_iter()
+        .map(|shard| shard.map(Vec::into_iter))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((0..points)
+        .map(|index| {
+            shards[index % jobs]
+                .next()
+                .expect("every point was simulated")
+        })
+        .collect())
 }
 
 /// Runs a latency-throughput sweep of `config` over `rates` on the calling

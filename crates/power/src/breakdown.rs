@@ -1,7 +1,6 @@
 //! Power breakdowns computed from activity counters.
 
 use noc_sim::ActivityCounters;
-use serde::{Deserialize, Serialize};
 
 use crate::energy::EnergyParams;
 
@@ -12,7 +11,7 @@ use crate::energy::EnergyParams;
 /// and buffer", and datapath — which [`PowerBreakdown::clocking_group_mw`],
 /// [`PowerBreakdown::router_logic_and_buffer_mw`] and
 /// [`PowerBreakdown::datapath_mw`] reproduce.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PowerBreakdown {
     /// Clock tree and pipeline registers (mW).
     pub clocking_mw: f64,

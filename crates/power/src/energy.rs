@@ -1,7 +1,5 @@
 //! Per-event and per-cycle energy parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-event energies (picojoules) and per-router static powers (milliwatts)
 /// used to convert activity counts into power.
 ///
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// Fig. 6 waterfall attributable: the datapath step comes from swapping these
 /// presets, the router-logic and buffer steps come from the activity changes
 /// that multicast support and bypassing cause.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// Energy of writing one 64-bit flit into an input buffer (pJ).
     pub buffer_write_pj: f64,

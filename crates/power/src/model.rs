@@ -18,13 +18,12 @@
 //! simulation per network and three pricings of it.
 
 use noc_sim::ActivityCounters;
-use serde::{Deserialize, Serialize};
 
 use crate::breakdown::PowerBreakdown;
 use crate::energy::EnergyParams;
 
 /// Which estimation methodology a model implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {
     /// Calibrated against the measured silicon.
     Measured,
@@ -50,7 +49,7 @@ pub trait PowerEstimator {
 }
 
 /// The measured-silicon calibration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredPowerModel {
     energy: EnergyParams,
 }
@@ -86,7 +85,7 @@ impl PowerEstimator for MeasuredPowerModel {
 }
 
 /// ORION-2.0-style architectural model: same structure, oversized devices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrionPowerModel {
     energy: EnergyParams,
 }
@@ -132,7 +131,7 @@ impl PowerEstimator for OrionPowerModel {
 /// Post-layout-style model: close to silicon, with the sign of its component
 /// errors matching the paper (buffers and allocators slightly
 /// under-estimated, clocking and datapath slightly over-estimated).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PostLayoutPowerModel {
     energy: EnergyParams,
 }

@@ -5,30 +5,13 @@
 //! matrix arbiter for the second stage (mSA-II: each output port grants the
 //! crossbar to one input port). Both are starvation-free.
 //!
-//! Both arbiters expose two equivalent request encodings:
-//!
-//! * a `&[bool]` slice ([`RoundRobinArbiter::arbitrate`],
-//!   [`MatrixArbiter::arbitrate`]) — the readable form used by tests, and
-//! * a `u32` bitmask word ([`RoundRobinArbiter::arbitrate_mask`],
-//!   [`MatrixArbiter::arbitrate_mask`]) — the form the router's hot path
-//!   uses, mirroring the chip where request vectors are hardware bit-vectors
-//!   (5-bit port requests into mSA-II, 6-bit VC requests into mSA-I). The
-//!   slice entry points delegate to the mask ones, so the two can never
-//!   disagree; `tests/properties.rs` additionally pins the agreement over
-//!   randomized 32-bit patterns.
-
-use serde::{Deserialize, Serialize};
+//! Requests are `u32` bitmask words ([`RoundRobinArbiter::arbitrate_mask`],
+//! [`MatrixArbiter::arbitrate_mask`]): bit `i` asserts requestor `i`,
+//! mirroring the chip where request vectors are hardware bit-vectors (5-bit
+//! port requests into mSA-II, 6-bit VC requests into mSA-I).
 
 /// Largest number of requestors the `u32` mask fast path supports.
 const MASK_BITS: usize = u32::BITS as usize;
-
-/// Converts a request slice into its bitmask form (bit `i` = `requests[i]`).
-fn mask_of(requests: &[bool]) -> u32 {
-    requests
-        .iter()
-        .enumerate()
-        .fold(0, |m, (i, &r)| m | (u32::from(r) << i))
-}
 
 /// The mask of valid requestor bits for an arbiter of `size` requestors
 /// (`size` is between 1 and [`MASK_BITS`], enforced at construction).
@@ -51,11 +34,11 @@ fn valid_mask(size: usize) -> u32 {
 /// use noc_router::RoundRobinArbiter;
 ///
 /// let mut arb = RoundRobinArbiter::new(4);
-/// assert_eq!(arb.arbitrate(&[true, false, true, false]), Some(0));
+/// assert_eq!(arb.arbitrate_mask(0b0101), Some(0));
 /// // 0 just won, so 2 now has priority.
-/// assert_eq!(arb.arbitrate(&[true, false, true, false]), Some(2));
+/// assert_eq!(arb.arbitrate_mask(0b0101), Some(2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundRobinArbiter {
     size: usize,
     /// Index with the highest priority in the next arbitration.
@@ -95,19 +78,9 @@ impl RoundRobinArbiter {
     }
 
     /// Picks a winner among the asserted requests, or `None` when no request
-    /// is asserted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len()` differs from the arbiter size.
-    pub fn arbitrate(&mut self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.size, "request vector size mismatch");
-        self.arbitrate_mask(mask_of(requests))
-    }
-
-    /// [`arbitrate`](Self::arbitrate) over a bitmask request word: bit `i`
-    /// asserts requestor `i`. Bits at or above [`size`](Self::size) are
-    /// ignored.
+    /// is asserted: bit `i` of `requests` asserts requestor `i`, and bits at
+    /// or above [`size`](Self::size) are ignored. The winner drops to the
+    /// lowest priority.
     ///
     /// This is the hot-path form: the rotating-priority scan collapses into
     /// two masks and a `trailing_zeros`, the word-wide analogue of the
@@ -130,18 +103,8 @@ impl RoundRobinArbiter {
         Some(winner)
     }
 
-    /// Peeks at the winner without updating the priority pointer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len()` differs from the arbiter size.
-    #[must_use]
-    pub fn peek(&self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.size, "request vector size mismatch");
-        self.peek_mask(mask_of(requests))
-    }
-
-    /// [`peek`](Self::peek) over a bitmask request word.
+    /// Peeks at the winner of [`arbitrate_mask`](Self::arbitrate_mask)
+    /// without updating the priority pointer.
     #[must_use]
     pub fn peek_mask(&self, requests: u32) -> Option<usize> {
         let requests = requests & valid_mask(self.size);
@@ -166,7 +129,7 @@ impl RoundRobinArbiter {
 /// `i` currently beats. After `i` wins, every other requestor gains priority
 /// over `i` (row `i` clears, column `i` sets). This is the arbiter the chip
 /// instantiates at each output port for mSA-II.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatrixArbiter {
     size: usize,
     /// `rows[i]` bit `j` set means requestor `i` beats requestor `j`.
@@ -214,19 +177,9 @@ impl MatrixArbiter {
     }
 
     /// Picks the requestor that beats all other asserted requestors, updating
-    /// the priority matrix so the winner drops to lowest priority.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len()` differs from the arbiter size.
-    pub fn arbitrate(&mut self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.size, "request vector size mismatch");
-        self.arbitrate_mask(mask_of(requests))
-    }
-
-    /// [`arbitrate`](Self::arbitrate) over a bitmask request word: bit `i`
-    /// asserts requestor `i`. Bits at or above [`size`](Self::size) are
-    /// ignored.
+    /// the priority matrix so the winner drops to lowest priority: bit `i` of
+    /// `requests` asserts requestor `i`, and bits at or above
+    /// [`size`](Self::size) are ignored.
     ///
     /// The winner test is one word comparison per asserted requestor
     /// (`requests ⊆ row[i] ∪ {i}`), and the priority update is a row clear
@@ -258,18 +211,8 @@ impl MatrixArbiter {
         Some(winner)
     }
 
-    /// Peeks at the winner without updating the priority matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len()` differs from the arbiter size.
-    #[must_use]
-    pub fn peek(&self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.size, "request vector size mismatch");
-        self.peek_mask(mask_of(requests))
-    }
-
-    /// [`peek`](Self::peek) over a bitmask request word.
+    /// Peeks at the winner of [`arbitrate_mask`](Self::arbitrate_mask)
+    /// without updating the priority matrix.
     #[must_use]
     pub fn peek_mask(&self, requests: u32) -> Option<usize> {
         let valid = valid_mask(self.size);
@@ -293,19 +236,19 @@ mod tests {
     #[test]
     fn round_robin_rotates_priority() {
         let mut arb = RoundRobinArbiter::new(3);
-        let all = [true, true, true];
-        assert_eq!(arb.arbitrate(&all), Some(0));
-        assert_eq!(arb.arbitrate(&all), Some(1));
-        assert_eq!(arb.arbitrate(&all), Some(2));
-        assert_eq!(arb.arbitrate(&all), Some(0));
+        let all = 0b111;
+        assert_eq!(arb.arbitrate_mask(all), Some(0));
+        assert_eq!(arb.arbitrate_mask(all), Some(1));
+        assert_eq!(arb.arbitrate_mask(all), Some(2));
+        assert_eq!(arb.arbitrate_mask(all), Some(0));
     }
 
     #[test]
     fn round_robin_skips_idle_requestors() {
         let mut arb = RoundRobinArbiter::new(4);
-        assert_eq!(arb.arbitrate(&[false, false, true, false]), Some(2));
-        assert_eq!(arb.arbitrate(&[true, false, false, false]), Some(0));
-        assert_eq!(arb.arbitrate(&[false; 4]), None);
+        assert_eq!(arb.arbitrate_mask(0b0100), Some(2));
+        assert_eq!(arb.arbitrate_mask(0b0001), Some(0));
+        assert_eq!(arb.arbitrate_mask(0), None);
     }
 
     #[test]
@@ -313,7 +256,7 @@ mod tests {
         let mut arb = RoundRobinArbiter::new(4);
         let mut wins = [0u32; 4];
         for _ in 0..400 {
-            let w = arb.arbitrate(&[true, true, true, true]).unwrap();
+            let w = arb.arbitrate_mask(0b1111).unwrap();
             wins[w] += 1;
         }
         assert!(wins.iter().all(|&w| w == 100), "wins = {wins:?}");
@@ -322,31 +265,8 @@ mod tests {
     #[test]
     fn peek_does_not_change_state() {
         let arb = RoundRobinArbiter::new(2);
-        assert_eq!(arb.peek(&[false, true]), Some(1));
-        assert_eq!(arb.peek(&[false, true]), Some(1));
-    }
-
-    #[test]
-    fn round_robin_mask_agrees_with_slice_exhaustively() {
-        // Every 4-bit request pattern from every rotation state.
-        for start in 0..4usize {
-            for pattern in 0u32..16 {
-                let mut slice_arb = RoundRobinArbiter::new(4);
-                let mut mask_arb = RoundRobinArbiter::new(4);
-                // Drive both arbiters into rotation state `start`.
-                for _ in 0..start {
-                    slice_arb.arbitrate(&[true; 4]);
-                    mask_arb.arbitrate_mask(0b1111);
-                }
-                let requests: Vec<bool> = (0..4).map(|i| pattern & (1 << i) != 0).collect();
-                assert_eq!(
-                    slice_arb.arbitrate(&requests),
-                    mask_arb.arbitrate_mask(pattern),
-                    "pattern {pattern:04b} from state {start}"
-                );
-                assert_eq!(slice_arb, mask_arb, "state diverged after the pick");
-            }
-        }
+        assert_eq!(arb.peek_mask(0b10), Some(1));
+        assert_eq!(arb.peek_mask(0b10), Some(1));
     }
 
     #[test]
@@ -381,16 +301,16 @@ mod tests {
     #[test]
     fn matrix_initial_priority_is_index_order() {
         let mut arb = MatrixArbiter::new(3);
-        assert_eq!(arb.arbitrate(&[true, true, true]), Some(0));
+        assert_eq!(arb.arbitrate_mask(0b111), Some(0));
     }
 
     #[test]
     fn matrix_winner_drops_to_lowest_priority() {
         let mut arb = MatrixArbiter::new(3);
-        assert_eq!(arb.arbitrate(&[true, true, true]), Some(0));
-        assert_eq!(arb.arbitrate(&[true, true, true]), Some(1));
-        assert_eq!(arb.arbitrate(&[true, true, true]), Some(2));
-        assert_eq!(arb.arbitrate(&[true, true, true]), Some(0));
+        assert_eq!(arb.arbitrate_mask(0b111), Some(0));
+        assert_eq!(arb.arbitrate_mask(0b111), Some(1));
+        assert_eq!(arb.arbitrate_mask(0b111), Some(2));
+        assert_eq!(arb.arbitrate_mask(0b111), Some(0));
     }
 
     #[test]
@@ -398,7 +318,7 @@ mod tests {
         let mut arb = MatrixArbiter::new(5);
         let mut wins = [0u32; 5];
         for _ in 0..500 {
-            let w = arb.arbitrate(&[true; 5]).unwrap();
+            let w = arb.arbitrate_mask(0b1_1111).unwrap();
             wins[w] += 1;
         }
         assert!(wins.iter().all(|&w| w == 100), "wins = {wins:?}");
@@ -407,31 +327,8 @@ mod tests {
     #[test]
     fn matrix_handles_single_and_no_request() {
         let mut arb = MatrixArbiter::new(4);
-        assert_eq!(arb.arbitrate(&[false, false, false, true]), Some(3));
-        assert_eq!(arb.arbitrate(&[false; 4]), None);
-    }
-
-    #[test]
-    fn matrix_mask_agrees_with_slice_exhaustively() {
-        // Every 4-bit request pattern after every warm-up history length.
-        for history in 0..6usize {
-            for pattern in 0u32..16 {
-                let mut slice_arb = MatrixArbiter::new(4);
-                let mut mask_arb = MatrixArbiter::new(4);
-                for round in 0..history {
-                    let warm = 0b1111 ^ (1 << (round % 4));
-                    slice_arb.arbitrate_mask(warm);
-                    mask_arb.arbitrate_mask(warm);
-                }
-                let requests: Vec<bool> = (0..4).map(|i| pattern & (1 << i) != 0).collect();
-                assert_eq!(
-                    slice_arb.arbitrate(&requests),
-                    mask_arb.arbitrate_mask(pattern),
-                    "pattern {pattern:04b} after {history} rounds"
-                );
-                assert_eq!(slice_arb, mask_arb, "state diverged after the pick");
-            }
-        }
+        assert_eq!(arb.arbitrate_mask(0b1000), Some(3));
+        assert_eq!(arb.arbitrate_mask(0), None);
     }
 
     #[test]

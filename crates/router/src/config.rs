@@ -1,7 +1,6 @@
 //! Router configuration: virtual channels, buffer depths and pipeline kind.
 
 use noc_types::{ConfigError, MessageClass, VcId};
-use serde::{Deserialize, Serialize};
 
 /// Largest supported VC buffer depth, in flits.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 pub const MAX_VC_DEPTH: usize = 4;
 
 /// Virtual-channel configuration of one message class at every input port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VcConfig {
     /// Number of virtual channels.
     pub count: u8,
@@ -35,7 +34,7 @@ impl VcConfig {
 }
 
 /// Which router generation to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterKind {
     /// The textbook / aggressive baseline of Fig. 1: no multicast support,
     /// no lookaheads.
@@ -92,7 +91,7 @@ impl RouterKind {
 
 /// Complete configuration of a router (and, by construction, of every router
 /// in a network — the chip is homogeneous).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterConfig {
     /// Router generation.
     pub kind: RouterKind,

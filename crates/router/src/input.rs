@@ -12,7 +12,6 @@
 //! [`InputPortRef`] / [`VcRef`] views instead of owning port objects.
 
 use noc_types::{ArrayFifo, Cycle, Flit, MessageClass, Port, VcId, PORT_COUNT};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{RouterConfig, VcLayout, MAX_VC_DEPTH};
 
@@ -21,7 +20,7 @@ use crate::config::{RouterConfig, VcLayout, MAX_VC_DEPTH};
 /// Set when the packet's head flit traverses the router (whether buffered or
 /// bypassed) and cleared when the tail flit leaves, so that body and tail
 /// flits inherit the output port and downstream VC chosen for the head.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VcRoute {
     /// Output port granted to the packet's head flit.
     pub out_port: Port,

@@ -9,11 +9,10 @@
 //! B's first two pipeline stages entirely and traverses B in a single cycle.
 
 use noc_types::{FlitId, MessageClass, PortSet, VcId};
-use serde::{Deserialize, Serialize};
 
 /// A lookahead (crossbar pre-allocation request) travelling one hop ahead of
 /// its flit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lookahead {
     /// Identifier of the flit the lookahead pre-allocates for (used to match
     /// the lookahead with the flit arriving on the same input port).

@@ -10,7 +10,6 @@ use noc_types::{
     Coord, Credit, Cycle, DestinationSet, Flit, FlitId, MessageClass, NodeId, Port, PortSet, VcId,
     PORT_COUNT,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::arbiter::{MatrixArbiter, RoundRobinArbiter};
 use crate::config::RouterConfig;
@@ -19,7 +18,7 @@ use crate::lookahead::Lookahead;
 use crate::output::{OutputBank, OutputPortRef};
 
 /// A flit leaving the router on one of its output ports during this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Departure {
     /// Output port the flit leaves on ([`Port::Local`] means ejection to the
     /// NIC).
@@ -36,7 +35,7 @@ pub struct Departure {
 }
 
 /// Everything a router produces in one cycle.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RouterOutput {
     /// Flits leaving on output ports.
     pub departures: Vec<Departure>,

@@ -2,7 +2,6 @@
 //! network (the chip is a single synchronous 1 GHz clock domain, §4).
 
 use noc_types::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// The network clock.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// clock.advance(9);
 /// assert_eq!(clock.now(), 10);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Clock {
     now: Cycle,
 }

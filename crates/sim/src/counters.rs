@@ -7,10 +7,8 @@
 //! the router crate) lets the NICs, links and routers all contribute to one
 //! ledger per network.
 
-use serde::{Deserialize, Serialize};
-
 /// Counts of energy-relevant events accumulated during a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ActivityCounters {
     /// Flit writes into input buffers (BW stage).
     pub buffer_writes: u64,

@@ -13,7 +13,7 @@
 //!   and NIC traversals through without steady-state heap allocation,
 //! * [`BoundaryMailbox`] — the order-preserving per-edge queue the
 //!   partitioned stepper uses to hand boundary-link events between mesh
-//!   partitions at cycle barriers,
+//!   partitions at the end of each cycle,
 //! * [`Lfsr`] and [`PrbsGenerator`] — the pseudo-random binary sequence
 //!   generators the chip's NICs use to produce traffic (including the
 //!   "identical seeds on every NIC" artifact the paper discusses), with a

@@ -6,20 +6,21 @@
 //! owning worker thread is mutating them. Instead each *directed* partition
 //! edge gets a [`BoundaryMailbox`]: the producing worker appends its batch of
 //! boundary events once per cycle, and the destination drains the mailbox at
-//! the cycle barrier's deterministic merge point.
+//! the end-of-cycle deterministic merge point.
 //!
 //! The mailbox is an SPSC queue by protocol rather than by type: within one
 //! step phase exactly one worker pushes to a given directed edge and nobody
-//! drains it; draining happens strictly after the barrier, in fixed edge
-//! order. The `Mutex` inside therefore never contends — it exists to make
-//! the type `Sync` so workers can share a plain slice of mailboxes — and
-//! FIFO order is preserved end to end: events drain in exactly the order
-//! they were pushed (`tests/properties.rs` pins this no-reorder guarantee).
+//! drains it; draining happens strictly after every partition has stepped,
+//! in fixed edge order. The `Mutex` inside therefore never contends — it
+//! exists to make the type `Sync` so workers can share one slice of
+//! mailboxes — and FIFO order is preserved end to end: events drain in
+//! exactly the order they were pushed (`tests/properties.rs` pins this
+//! no-reorder guarantee).
 
 use std::sync::Mutex;
 
 /// An order-preserving single-producer single-consumer mailbox used to hand
-/// boundary events between mesh partitions at cycle barriers.
+/// boundary events between mesh partitions at the end of each cycle.
 ///
 /// # Examples
 ///

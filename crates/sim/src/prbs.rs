@@ -7,8 +7,6 @@
 //! reproduces both behaviours: identical seeds (to match the measured chip)
 //! and per-node seeds (to match the "fixed RTL" results the paper quotes).
 
-use serde::{Deserialize, Serialize};
-
 /// One serial step of the 16-bit Fibonacci LFSR (taps 16, 15, 13, 4),
 /// returning `(next_state << 16) | output_bit` packed for const evaluation.
 const fn lfsr_step(state: u16) -> (u16, u16) {
@@ -77,7 +75,7 @@ pub fn bernoulli_threshold(p: f64) -> u32 {
 /// let first = lfsr.next_bit();
 /// assert!(first == 0 || first == 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lfsr {
     state: u16,
 }
@@ -143,7 +141,7 @@ impl Lfsr {
 /// traffic generators; it is intentionally *not* a cryptographic or even
 /// statistically strong RNG — matching the chip matters more than statistical
 /// perfection, and the identical-seed artifact is part of what we reproduce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrbsGenerator {
     dest_lfsr: Lfsr,
     rate_lfsr: Lfsr,

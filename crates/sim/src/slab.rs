@@ -20,7 +20,6 @@
 //! what keeps a warm (index-recycling) network bit-identical to a cold one.
 
 use noc_types::{DestinationSet, Flit, VcId};
-use serde::{Deserialize, Serialize};
 
 /// Discriminator bit of a [`FlitHandle`]: set for replica handles.
 const REPLICA_BIT: u32 = 1 << 31;
@@ -31,7 +30,7 @@ const REPLICA_BIT: u32 = 1 << 31;
 /// points at a replica slot holding per-branch overrides plus a reference to
 /// the shared payload of a multicast fork. Every handle must be consumed
 /// exactly once, by [`FlitSlab::take`] or [`FlitSlab::release`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlitHandle(u32);
 
 impl FlitHandle {

@@ -8,7 +8,6 @@
 //! warm network reuse.
 
 use noc_types::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Online latency statistics (count, mean, min, max and a coarse histogram).
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.mean(), 15.0);
 /// assert_eq!(stats.max(), Some(20));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyStats {
     count: u64,
     sum: u64,
@@ -165,7 +164,7 @@ impl LatencyStats {
 /// broadcast flit delivered to 15 destinations counts 15 times, which is what
 /// makes the 1024 Gb/s theoretical limit reachable by 16 ejection ports of
 /// 64 bits at 1 GHz.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ThroughputStats {
     received_flits: u64,
     received_packets: u64,
@@ -252,7 +251,7 @@ impl ThroughputStats {
 }
 
 /// One point of a latency-throughput sweep (one injection rate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Offered injection rate in flits/node/cycle.
     pub injection_rate: f64,

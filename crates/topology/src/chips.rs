@@ -10,12 +10,10 @@
 //! The same arithmetic is reproduced here, parameterised per chip, so the
 //! whole table can be regenerated (`repro table2`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::limits::MeshLimits;
 
 /// Description of one chip prototype as modelled in Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipModel {
     /// Chip name as it appears in the paper.
     pub name: String,
@@ -224,7 +222,7 @@ impl ChipModel {
 }
 
 /// One computed row of Table 2 for a single chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// Chip name.
     pub name: String,

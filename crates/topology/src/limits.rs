@@ -12,10 +12,8 @@
 //! flits/cycle; unicasts pick a uniformly random destination, broadcasts go
 //! from a uniformly random source to all other nodes.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-traversal datapath energy used by the theoretical energy limit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatapathEnergy {
     /// Energy of one crossbar traversal, in picojoules.
     pub crossbar_pj: f64,
@@ -58,7 +56,7 @@ impl Default for DatapathEnergy {
 /// // Broadcast throughput is limited by the ejection links: R_sat = 1/k^2.
 /// assert!((limits.broadcast_saturation_rate() - 1.0 / 16.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeshLimits {
     k: u16,
 }

@@ -1,10 +1,9 @@
 //! The k×k mesh topology.
 
 use noc_types::{ConfigError, Coord, Direction, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A directed router-to-router link of the mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Link {
     /// Upstream (sending) node.
     pub from: NodeId,
@@ -34,7 +33,7 @@ pub struct Link {
 /// assert_eq!(mesh.neighbor(Coord::new(0, 0), Direction::West), None);
 /// # Ok::<(), noc_types::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     k: u16,
 }

@@ -4,13 +4,12 @@
 
 use noc_sim::{bernoulli_threshold, PrbsGenerator};
 use noc_types::{Cycle, DestinationSet, NodeId, Packet, PacketId, PacketKind, TrafficKind};
-use serde::{Deserialize, Serialize};
 
 use crate::mix::TrafficMix;
 use crate::pattern::SpatialPattern;
 
 /// How the per-node PRBS generators are seeded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeedMode {
     /// Every NIC uses the same seed — the fabricated chip's artifact. All
     /// nodes make correlated injection decisions and destination choices,
@@ -30,7 +29,7 @@ pub enum SeedMode {
 /// rate the paper's throughput axes use), picks a packet kind from the
 /// configured [`TrafficMix`], and draws a unicast destination through the
 /// configured [`SpatialPattern`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficGenerator {
     node: NodeId,
     k: u16,

@@ -1,12 +1,11 @@
 //! Traffic mixes: the distribution of packet kinds a NIC injects.
 
 use noc_types::{ConfigError, PacketKind, TrafficKind};
-use serde::{Deserialize, Serialize};
 
 /// A distribution over the three packet kinds the chip's evaluation uses.
 ///
 /// Fractions must sum to 1.0 (validated by [`TrafficMix::new`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficMix {
     broadcast_request: f64,
     unicast_request: f64,

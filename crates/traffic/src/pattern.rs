@@ -20,11 +20,10 @@
 
 use noc_sim::PrbsGenerator;
 use noc_types::{ConfigError, Coord, DestinationSet, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// What [`SpatialPattern::UniformRandom`] does when the PRBS draw lands on
 /// the sending node itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollisionPolicy {
     /// Redraw from the PRBS stream until the destination differs from the
     /// source. This is the statistically correct behaviour: every other node
@@ -40,10 +39,10 @@ pub enum CollisionPolicy {
 /// A spatial traffic pattern: the map from a sending node to the destination
 /// of each unicast packet it creates.
 ///
-/// Patterns are `Copy`, serde-able and cheap to embed in a configuration.
+/// Patterns are `Copy` and cheap to embed in a configuration.
 /// Hotspot target sets ride a [`DestinationSet`] bit vector so the whole enum
 /// stays `Copy` (and so configurations containing it remain `Copy`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SpatialPattern {
     /// Uniformly random destinations drawn from the PRBS stream, excluding
     /// the source according to the [`CollisionPolicy`].

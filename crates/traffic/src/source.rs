@@ -5,7 +5,6 @@
 use std::collections::VecDeque;
 
 use noc_types::{Cycle, NodeId, Packet, TraceEvent};
-use serde::{Deserialize, Serialize};
 
 use crate::generator::TrafficGenerator;
 
@@ -22,20 +21,20 @@ use crate::generator::TrafficGenerator;
 /// same `(node << 40) | seq` scheme the live generator uses, so a replayed
 /// run is bit-identical to the recorded one without ids ever being stored
 /// in the trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficSource {
     mode: SourceMode,
     recorded: Option<Vec<TraceEvent>>,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum SourceMode {
     Bernoulli(TrafficGenerator),
     Replay(TraceReplayer),
 }
 
 /// Replays one node's slice of a recorded trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct TraceReplayer {
     node: NodeId,
     /// This node's events in cycle order.

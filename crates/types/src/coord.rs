@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Flat identifier of a node (tile) in a k×k mesh.
 ///
 /// Nodes are numbered in row-major order: `id = y * k + x`.
@@ -24,9 +22,7 @@ pub type NodeId = u16;
 /// assert_eq!(Coord::from_node_id(7, 4), c);
 /// assert_eq!(c.manhattan_distance(Coord::new(0, 0)), 4);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Coord {
     /// Column index, `0..k`, grows eastwards.
     pub x: u16,

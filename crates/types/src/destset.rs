@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::coord::NodeId;
 
 /// Maximum number of nodes a [`DestinationSet`] can represent (a 16×16 mesh).
@@ -32,7 +30,7 @@ const WORDS: usize = MAX_NODES / 64;
 /// assert!(!bcast.contains(0));
 /// assert!(bcast.contains(15));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct DestinationSet {
     words: [u64; WORDS],
 }

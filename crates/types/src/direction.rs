@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Number of ports on every router (N, E, S, W, Local).
 pub const PORT_COUNT: usize = 5;
 
@@ -17,7 +15,7 @@ pub const PORT_COUNT: usize = 5;
 ///
 /// `Direction` is the *link* direction; [`Port`] additionally includes the
 /// local NIC port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Direction {
     /// Towards increasing `y`.
     North,
@@ -75,7 +73,7 @@ impl fmt::Display for Direction {
 }
 
 /// One of the five router ports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Port {
     /// Link towards the node above (`y + 1`).
     North,
@@ -175,7 +173,7 @@ impl From<Direction> for Port {
 /// assert!(set.contains(Port::North));
 /// assert!(!set.contains(Port::East));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PortSet(u8);
 
 impl PortSet {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::coord::NodeId;
 use crate::destset::DestinationSet;
 use crate::message::MessageClass;
@@ -17,7 +15,7 @@ pub const FLIT_BITS: usize = 64;
 pub type FlitId = u64;
 
 /// Position of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlitKind {
     /// First flit of a multi-flit packet; carries routing information.
     Head,
@@ -63,7 +61,7 @@ impl fmt::Display for FlitKind {
 /// simulator convenience that does not change timing). It also carries
 /// timestamps used for latency accounting and the virtual channel it
 /// currently occupies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Flit {
     id: FlitId,
     packet_id: PacketId,
@@ -73,7 +71,6 @@ pub struct Flit {
     kind: FlitKind,
     sequence: u8,
     packet_len: u8,
-    payload: u64,
     created_at: Cycle,
     injected_at: Option<Cycle>,
     vc: Option<VcId>,
@@ -84,7 +81,7 @@ pub struct Flit {
 impl Flit {
     /// Creates the `sequence`-th flit of `packet`.
     #[must_use]
-    pub fn new(packet: &Packet, sequence: u8, kind: FlitKind, payload: u64) -> Self {
+    pub fn new(packet: &Packet, sequence: u8, kind: FlitKind) -> Self {
         Self {
             id: packet.id() * 16 + u64::from(sequence),
             packet_id: packet.id(),
@@ -94,7 +91,6 @@ impl Flit {
             kind,
             sequence,
             packet_len: packet.flit_count() as u8,
-            payload,
             created_at: packet.created_at(),
             injected_at: None,
             vc: None,
@@ -158,12 +154,6 @@ impl Flit {
     #[must_use]
     pub fn packet_len(&self) -> u8 {
         self.packet_len
-    }
-
-    /// 64-bit payload word.
-    #[must_use]
-    pub fn payload(&self) -> u64 {
-        self.payload
     }
 
     /// Cycle at which the parent packet was created at the source NIC.

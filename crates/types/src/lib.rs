@@ -18,7 +18,9 @@
 //! * [`VcId`], [`Credit`] — virtual-channel bookkeeping for credit-based
 //!   flow control,
 //! * [`ArrayFifo`] — the inline, fixed-capacity ring FIFO behind every
-//!   virtual-channel buffer.
+//!   virtual-channel buffer,
+//! * [`SplitMix64`] — the seedable pseudo-random stream behind Monte-Carlo
+//!   sampling and closed-loop client draws.
 //!
 //! # Examples
 //!
@@ -45,6 +47,7 @@ mod fifo;
 mod flit;
 mod message;
 mod packet;
+mod splitmix;
 mod trace;
 
 pub use coord::{Coord, NodeId};
@@ -55,6 +58,7 @@ pub use fifo::ArrayFifo;
 pub use flit::{Flit, FlitId, FlitKind, FLIT_BITS};
 pub use message::{MessageClass, TrafficKind, MESSAGE_CLASS_COUNT};
 pub use packet::{Packet, PacketId, PacketKind};
+pub use splitmix::SplitMix64;
 pub use trace::{Trace, TraceError, TraceEvent};
 
 /// Identifier of a virtual channel within one input port and message class.
@@ -68,7 +72,7 @@ pub type VcId = u8;
 ///
 /// Credits are tagged with the virtual channel they replenish so that the
 /// upstream router can update the correct VC's credit counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Credit {
     /// Message class of the freed buffer slot.
     pub class: MessageClass,

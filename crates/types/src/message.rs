@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Number of message classes (virtual networks) per input port.
 pub const MESSAGE_CLASS_COUNT: usize = 2;
 
@@ -13,7 +11,7 @@ pub const MESSAGE_CLASS_COUNT: usize = 2;
 /// *response*, to avoid message-level (protocol) deadlock in cache-coherent
 /// multicores: a response must never be blocked behind a request that is
 /// itself waiting for that response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MessageClass {
     /// Coherence requests and acknowledgements; 1-flit packets on the chip.
     Request,
@@ -60,7 +58,7 @@ impl fmt::Display for MessageClass {
 /// * *mixed*: 50% broadcast requests, 25% unicast requests, 25% unicast
 ///   responses,
 /// * *broadcast-only*: 100% broadcast requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficKind {
     /// Single-destination coherence request (1 flit).
     UnicastRequest,

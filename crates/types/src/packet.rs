@@ -2,9 +2,6 @@
 
 use std::fmt;
 
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
-
 use crate::coord::NodeId;
 use crate::destset::DestinationSet;
 use crate::flit::{Flit, FlitKind, FLIT_BITS};
@@ -15,7 +12,7 @@ use crate::Cycle;
 pub type PacketId = u64;
 
 /// The two packet formats used by the fabricated chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PacketKind {
     /// Coherence request or acknowledgement: a single flit that is both head
     /// and tail.
@@ -57,7 +54,7 @@ impl fmt::Display for PacketKind {
 ///
 /// A packet carries its source, its destination set (one node for unicasts,
 /// all-but-source for broadcasts), its kind (which fixes the flit count and
-/// message class), an optional payload, and the cycle at which the NIC
+/// message class), and the cycle at which the NIC
 /// created it (used for end-to-end latency accounting).
 ///
 /// # Examples
@@ -71,15 +68,13 @@ impl fmt::Display for PacketKind {
 /// assert!(flits[0].kind().is_head());
 /// assert!(flits[4].kind().is_tail());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     id: PacketId,
     source: NodeId,
     destinations: DestinationSet,
     kind: PacketKind,
     created_at: Cycle,
-    #[serde(skip)]
-    payload: Bytes,
 }
 
 impl Packet {
@@ -102,20 +97,7 @@ impl Packet {
             destinations,
             kind,
             created_at,
-            payload: Bytes::new(),
         }
-    }
-
-    /// Attaches an application payload to the packet.
-    ///
-    /// The payload is carried for end-to-end integrity checks in tests and
-    /// examples; it does not change the flit count (the chip's flit size is
-    /// fixed at 64 bits regardless of how much payload the protocol layer
-    /// actually uses).
-    #[must_use]
-    pub fn with_payload(mut self, payload: Bytes) -> Self {
-        self.payload = payload;
-        self
     }
 
     /// Packet identifier.
@@ -148,12 +130,6 @@ impl Packet {
         self.created_at
     }
 
-    /// Application payload (possibly empty).
-    #[must_use]
-    pub fn payload(&self) -> &Bytes {
-        &self.payload
-    }
-
     /// Message class the packet travels in.
     #[must_use]
     pub fn message_class(&self) -> MessageClass {
@@ -181,9 +157,8 @@ impl Packet {
 
     /// Segments the packet into its flits.
     ///
-    /// The head flit carries the destination set; body and tail flits carry a
-    /// 64-bit slice of the payload. For single-flit packets the lone flit is
-    /// [`FlitKind::HeadTail`].
+    /// Every flit carries the destination set and the packet's timestamps;
+    /// for single-flit packets the lone flit is [`FlitKind::HeadTail`].
     #[must_use]
     pub fn to_flits(&self) -> Vec<Flit> {
         let mut flits = Vec::with_capacity(self.flit_count());
@@ -208,21 +183,9 @@ impl Packet {
             } else {
                 FlitKind::Body
             };
-            let word = payload_word(&self.payload, i);
-            out.push(Flit::new(self, i as u8, kind, word));
+            out.push(Flit::new(self, i as u8, kind));
         }
     }
-}
-
-/// Extracts the `i`-th 64-bit little-endian word of `payload`, zero-padded.
-fn payload_word(payload: &Bytes, i: usize) -> u64 {
-    let mut buf = [0u8; 8];
-    let start = i * 8;
-    if start < payload.len() {
-        let end = (start + 8).min(payload.len());
-        buf[..end - start].copy_from_slice(&payload[start..end]);
-    }
-    u64::from_le_bytes(buf)
 }
 
 #[cfg(test)]
@@ -252,21 +215,6 @@ mod tests {
         assert_eq!(flits[4].kind(), FlitKind::Tail);
         assert!(flits.iter().all(|f| f.packet_id() == 2));
         assert!(flits.iter().all(|f| f.source() == 5));
-    }
-
-    #[test]
-    fn payload_words_round_trip() {
-        let payload = Bytes::from_static(b"0123456789abcdef_tail");
-        let p = Packet::new(3, 0, DestinationSet::unicast(1), PacketKind::Response, 0)
-            .with_payload(payload.clone());
-        let flits = p.to_flits();
-        assert_eq!(flits[0].payload(), u64::from_le_bytes(*b"01234567"));
-        assert_eq!(flits[1].payload(), u64::from_le_bytes(*b"89abcdef"));
-        // Partial final word is zero padded.
-        let mut tail = [0u8; 8];
-        tail[..5].copy_from_slice(b"_tail");
-        assert_eq!(flits[2].payload(), u64::from_le_bytes(tail));
-        assert_eq!(flits[4].payload(), 0);
     }
 
     #[test]

@@ -36,7 +36,7 @@ const TAG_GENERAL: u8 = 2;
 /// ([`PacketKind::flit_count`]), so the event does not store a separate
 /// length field. Packet ids are likewise omitted: replay regenerates them
 /// from the per-node event order, exactly as the live NICs assign them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Cycle at which the source NIC created the packet.
     pub cycle: Cycle,
@@ -77,7 +77,7 @@ impl TraceEvent {
 /// let bytes = trace.to_bytes();
 /// assert_eq!(Trace::from_bytes(&bytes).unwrap(), trace);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     k: u16,
     events: Vec<TraceEvent>,

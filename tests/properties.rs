@@ -224,51 +224,22 @@ proptest! {
     // ------------------------------------------------------------ arbiters
 
     #[test]
-    fn round_robin_is_work_conserving_and_fair(requests in proptest::collection::vec(any::<bool>(), 1..8)) {
-        let mut arb = RoundRobinArbiter::new(requests.len());
-        match arb.arbitrate(&requests) {
-            Some(winner) => prop_assert!(requests[winner]),
-            None => prop_assert!(requests.iter().all(|&r| !r)),
+    fn round_robin_is_work_conserving_and_fair(size in 1usize..8, requests in 0u32..256) {
+        let mut arb = RoundRobinArbiter::new(size);
+        let asserted = requests & ((1 << size) - 1);
+        match arb.arbitrate_mask(requests) {
+            Some(winner) => prop_assert!(asserted >> winner & 1 == 1),
+            None => prop_assert_eq!(asserted, 0),
         }
     }
 
     #[test]
-    fn matrix_arbiter_is_work_conserving(requests in proptest::collection::vec(any::<bool>(), 1..8)) {
-        let mut arb = MatrixArbiter::new(requests.len());
-        match arb.arbitrate(&requests) {
-            Some(winner) => prop_assert!(requests[winner]),
-            None => prop_assert!(requests.iter().all(|&r| !r)),
-        }
-    }
-
-    #[test]
-    fn round_robin_mask_agrees_with_slice_on_random_32bit_patterns(
-        patterns in proptest::collection::vec(0u32..u32::MAX, 1..40),
-        size in 1usize..=32,
-    ) {
-        // Drive a slice-based and a mask-based arbiter through the same
-        // request sequence; every pick and every internal rotation state
-        // must stay identical.
-        let mut slice_arb = RoundRobinArbiter::new(size);
-        let mut mask_arb = RoundRobinArbiter::new(size);
-        for pattern in patterns {
-            let requests: Vec<bool> = (0..size).map(|i| pattern >> i & 1 != 0).collect();
-            prop_assert_eq!(slice_arb.arbitrate(&requests), mask_arb.arbitrate_mask(pattern));
-            prop_assert_eq!(&slice_arb, &mask_arb);
-        }
-    }
-
-    #[test]
-    fn matrix_mask_agrees_with_slice_on_random_32bit_patterns(
-        patterns in proptest::collection::vec(0u32..u32::MAX, 1..40),
-        size in 1usize..=32,
-    ) {
-        let mut slice_arb = MatrixArbiter::new(size);
-        let mut mask_arb = MatrixArbiter::new(size);
-        for pattern in patterns {
-            let requests: Vec<bool> = (0..size).map(|i| pattern >> i & 1 != 0).collect();
-            prop_assert_eq!(slice_arb.arbitrate(&requests), mask_arb.arbitrate_mask(pattern));
-            prop_assert_eq!(&slice_arb, &mask_arb);
+    fn matrix_arbiter_is_work_conserving(size in 1usize..8, requests in 0u32..256) {
+        let mut arb = MatrixArbiter::new(size);
+        let asserted = requests & ((1 << size) - 1);
+        match arb.arbitrate_mask(requests) {
+            Some(winner) => prop_assert!(asserted >> winner & 1 == 1),
+            None => prop_assert_eq!(asserted, 0),
         }
     }
 
@@ -277,7 +248,7 @@ proptest! {
         let mut arb = MatrixArbiter::new(size);
         let mut wins = vec![0u32; size];
         for _ in 0..rounds * size {
-            let winner = arb.arbitrate(&vec![true; size]).unwrap();
+            let winner = arb.arbitrate_mask((1 << size) - 1).unwrap();
             wins[winner] += 1;
         }
         let max = *wins.iter().max().unwrap();
