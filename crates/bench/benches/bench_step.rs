@@ -106,6 +106,26 @@ fn bench_step_16x16_saturated(c: &mut Criterion) {
     });
 }
 
+/// The same 16×16 saturated workload stepped by two row strips through the
+/// pool, next to its serial reference above: the ratio of the two is the
+/// measured speedup, and on a host short of cores it is the handoff cost.
+fn bench_step_16x16_saturated_2t(c: &mut Criterion) {
+    let config = NocConfig::proposed_chip()
+        .unwrap()
+        .with_side(16)
+        .with_seed_mode(SeedMode::PerNode);
+    let mut network = Network::with_step_threads(config, 0.10, 2).unwrap();
+    for _ in 0..1_000 {
+        network.step(true);
+    }
+    c.bench_function("step_16x16_saturated_mixed_2t", |b| {
+        b.iter(|| {
+            network.step(true);
+            black_box(network.now())
+        });
+    });
+}
+
 /// The `hotspot16` workload (90% of unicast traffic targets the far-corner
 /// node of a 16×16 mesh) stepped by four partitions in three layouts: the
 /// trio pins the cost of the partition-shape generalisation. `_rows` is the
@@ -253,7 +273,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_step_4x4_saturated, bench_step_4x4_baseline_saturated, bench_step_8x8_saturated,
-        bench_step_8x8_saturated_2t, bench_step_16x16_saturated, bench_step_16x16_hotspot_4t,
-        bench_step_lowload, bench_step_drain_idle, bench_reset_vs_new
+        bench_step_8x8_saturated_2t, bench_step_16x16_saturated, bench_step_16x16_saturated_2t,
+        bench_step_16x16_hotspot_4t, bench_step_lowload, bench_step_drain_idle, bench_reset_vs_new
 }
 criterion_main!(benches);

@@ -106,12 +106,12 @@ impl PartitionShape {
     }
 }
 
-/// Scoreboard entry tracking one packet until every destination received it.
+/// Scoreboard entry tracking one measured packet until every destination
+/// received it.
 #[derive(Debug, Clone, Copy)]
 struct TrackedPacket {
     created_at: Cycle,
     remaining_receptions: u32,
-    track_latency: bool,
 }
 
 /// A k×k mesh NoC: routers, NICs, links and the measurement machinery.
@@ -163,9 +163,12 @@ pub struct Network {
     /// Chicken bit for the quiescent-NIC nap (on by default; `false` restores
     /// the serial one-coin-per-NIC-per-cycle loop).
     nic_idle_skip: bool,
-    /// Keyed by a `BTreeMap` so iteration (diagnostics, drain checks) is
-    /// deterministic — a hash map's order would depend on the hasher seed
-    /// and leak into any output derived from a scan (noc-lint rule D01).
+    /// Measured packets still owed at least one reception: an entry is
+    /// inserted only for a packet with destinations and removed on its last
+    /// reception, so the map's length is the outstanding count. Keyed by a
+    /// `BTreeMap` so iteration (diagnostics) is deterministic — a hash map's
+    /// order would depend on the hasher seed and leak into any output
+    /// derived from a scan (noc-lint rule D01).
     scoreboard: BTreeMap<PacketId, TrackedPacket>,
     latency: LatencyStats,
     throughput: ThroughputStats,
@@ -221,7 +224,9 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`NocError::Config`] when the configuration is invalid.
+    /// Returns [`NocError::Config`] when the configuration is invalid, or
+    /// with [`ConfigError::InvalidInjectionRate`] when `rate` is NaN,
+    /// negative or above one flit/cycle.
     pub fn new(config: NocConfig, rate: f64) -> Result<Self, NocError> {
         Self::build(config, rate, PartitionShape::Rows(1))
     }
@@ -233,8 +238,8 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`NocError::Config`] when the configuration is invalid or
-    /// `threads` is zero.
+    /// Returns [`NocError::Config`] when the configuration or `rate` is
+    /// invalid (see [`Network::new`]) or `threads` is zero.
     pub fn with_step_threads(
         config: NocConfig,
         rate: f64,
@@ -248,8 +253,8 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`NocError::Config`] when the configuration is invalid or the
-    /// shape has a zero axis.
+    /// Returns [`NocError::Config`] when the configuration or `rate` is
+    /// invalid (see [`Network::new`]) or the shape has a zero axis.
     pub fn with_partition_shape(
         config: NocConfig,
         rate: f64,
@@ -261,6 +266,7 @@ impl Network {
     fn build(config: NocConfig, rate: f64, shape: PartitionShape) -> Result<Self, NocError> {
         shape.validate()?;
         config.validate()?;
+        ConfigError::check_injection_rate(rate)?;
         let mesh = Mesh::new(config.k).map_err(NocError::from)?;
         let map = shape.map(&mesh);
         let mut partitions = (0..map.len())
@@ -644,6 +650,8 @@ impl Network {
     /// non-injecting steps until its queue drains. This is the injection
     /// path of the closed-loop serving layer, which drives
     /// `step(inject = false)` and feeds every request and reply in by hand.
+    /// A packet with an empty destination set is registered (its injection
+    /// counts toward throughput) but never enters the network.
     ///
     /// # Panics
     ///
@@ -700,12 +708,12 @@ impl Network {
     }
 
     /// Number of tracked packets that have not yet reached every destination.
+    ///
+    /// O(1): the scoreboard holds exactly the outstanding packets, so the
+    /// drain loop can poll this every cycle.
     #[must_use]
     pub fn outstanding_tracked_packets(&self) -> usize {
-        self.scoreboard
-            .values()
-            .filter(|t| t.track_latency && t.remaining_receptions > 0)
-            .count()
+        self.scoreboard.len()
     }
 
     /// Total packets injected by all NICs so far.
@@ -784,12 +792,10 @@ impl Network {
             }
         }
         for (id, tracked) in &self.scoreboard {
-            if tracked.remaining_receptions > 0 {
-                eprintln!(
-                    "scoreboard: packet {id} still needs {} receptions (created {})",
-                    tracked.remaining_receptions, tracked.created_at
-                );
-            }
+            eprintln!(
+                "scoreboard: packet {id} still needs {} receptions (created {})",
+                tracked.remaining_receptions, tracked.created_at
+            );
         }
     }
 
@@ -932,22 +938,25 @@ impl Network {
     }
 
     fn register_packet(&mut self, registration: PacketRegistration) {
-        // Packets created outside a measurement window were never recorded
-        // anywhere (`track_latency` would be false and receptions of
-        // unknown ids are ignored), so they skip the scoreboard entirely —
-        // at overdriven rates the map would otherwise grow without bound
-        // and put a cache-missing hash lookup on every reception.
+        // Packets created outside a measurement window are never recorded
+        // anywhere (receptions of unknown ids are ignored), so they skip the
+        // scoreboard entirely — at overdriven rates the map would otherwise
+        // grow without bound and put a lookup on every reception.
         if !self.measuring {
             return;
         }
         self.throughput
             .record_injection(u64::from(registration.flits_per_reception));
+        // A packet with no destinations is owed no reception; an entry for
+        // it would never leave the map.
+        if registration.expected_receptions == 0 {
+            return;
+        }
         self.scoreboard.insert(
             registration.id,
             TrackedPacket {
                 created_at: registration.created_at,
                 remaining_receptions: registration.expected_receptions,
-                track_latency: true,
             },
         );
     }
@@ -960,11 +969,9 @@ impl Network {
             self.throughput.record_reception(u64::from(reception.flits));
         }
         if let Some(tracked) = self.scoreboard.get_mut(&reception.id) {
-            tracked.remaining_receptions = tracked.remaining_receptions.saturating_sub(1);
+            tracked.remaining_receptions -= 1;
             if tracked.remaining_receptions == 0 {
-                if tracked.track_latency {
-                    self.latency.record(reception.at - tracked.created_at);
-                }
+                self.latency.record(reception.at - tracked.created_at);
                 self.scoreboard.remove(&reception.id);
             }
         }
@@ -975,6 +982,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::config::{NetworkVariant, NocConfig};
+    use noc_types::{DestinationSet, PacketKind};
 
     fn run_cycles(network: &mut Network, cycles: u64, inject: bool) {
         for _ in 0..cycles {
@@ -1001,6 +1009,78 @@ mod tests {
         assert!(network.latency().count() > 0, "packets must complete");
         assert_eq!(network.in_flight_flits(), 0, "the network must drain");
         assert_eq!(network.outstanding_tracked_packets(), 0);
+    }
+
+    #[test]
+    fn packets_without_destinations_are_not_outstanding() {
+        // An empty destination set is owed no reception, so it must neither
+        // hold the outstanding count above zero nor stay in the scoreboard.
+        let mut network = Network::new(NocConfig::proposed_chip().unwrap(), 0.05).unwrap();
+        network.set_measuring(true);
+        for cycle in 0..500u64 {
+            if cycle % 100 == 50 {
+                let kind = if cycle % 200 == 50 {
+                    PacketKind::Request
+                } else {
+                    PacketKind::Response
+                };
+                // Clear of generated ids (`node << 40 | seq`) and of the
+                // serving layer's tag bits 59/58.
+                let id = (1 << 56) | cycle;
+                let source = (cycle % 16) as NodeId;
+                network.inject_packet(Packet::new(
+                    id,
+                    source,
+                    DestinationSet::empty(),
+                    kind,
+                    network.now(),
+                ));
+            }
+            network.step(true);
+        }
+        network.set_measuring(false);
+        // `Simulation::run`'s drain limit for a 500-cycle window.
+        let drain_limit = 4 * 500 + 2000;
+        let mut drained = 0;
+        while network.outstanding_tracked_packets() > 0 && drained < drain_limit {
+            network.step(false);
+            drained += 1;
+        }
+        assert_eq!(network.outstanding_tracked_packets(), 0);
+        assert!(
+            drained < drain_limit / 10,
+            "drained after {drained} of {drain_limit} cycles"
+        );
+        assert!(network.latency().count() > 0);
+    }
+
+    #[test]
+    fn bad_injection_rates_are_rejected_at_construction() {
+        let config = NocConfig::proposed_chip().unwrap();
+        let is_rate_error = |result: Result<Network, NocError>| {
+            matches!(
+                result,
+                Err(NocError::Config(ConfigError::InvalidInjectionRate { .. }))
+            )
+        };
+        for rate in [f64::NAN, -0.1, 1.5] {
+            assert!(is_rate_error(Network::new(config, rate)), "rate {rate}");
+            assert!(
+                is_rate_error(Network::with_step_threads(config, rate, 2)),
+                "rate {rate}"
+            );
+            assert!(
+                is_rate_error(Network::with_partition_shape(
+                    config,
+                    rate,
+                    PartitionShape::Tiles { rows: 2, cols: 2 }
+                )),
+                "rate {rate}"
+            );
+        }
+        // The closed interval's ends are valid.
+        assert!(Network::new(config, 0.0).is_ok());
+        assert!(Network::new(config, 1.0).is_ok());
     }
 
     #[test]

@@ -260,6 +260,11 @@ impl Nic {
             expected_receptions,
             flits_per_reception,
         };
+        if packet.destinations().is_empty() {
+            // Owed no reception, so nothing is sent: its flits would find
+            // no route and hold the injection VC for ever.
+            return registration;
+        }
         if packet.is_multicast() && self.duplicate_broadcasts {
             // No router-level multicast support: the NIC must inject one
             // unicast copy per destination, serialising them through its

@@ -191,9 +191,7 @@ impl ScenarioBuilder {
             .with_seed_mode(self.seed_mode)
             .with_base_seed(self.base_seed);
         config.validate()?;
-        if !(0.0..=1.0).contains(&self.rate) {
-            return Err(ConfigError::InvalidInjectionRate { rate: self.rate }.into());
-        }
+        ConfigError::check_injection_rate(self.rate)?;
         Ok(Scenario {
             config,
             rate: self.rate,

@@ -168,9 +168,7 @@ impl Simulation {
         warmup_cycles: u64,
         measure_cycles: u64,
     ) -> Result<SimulationResult, NocError> {
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(noc_types::ConfigError::InvalidInjectionRate { rate }.into());
-        }
+        noc_types::ConfigError::check_injection_rate(rate)?;
         self.network.set_rate(rate);
 
         // Warmup.

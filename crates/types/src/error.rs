@@ -50,6 +50,23 @@ pub enum ConfigError {
     },
 }
 
+impl ConfigError {
+    /// Checks an injection rate in flits/node/cycle: a NIC injects at most
+    /// one flit per cycle, so the rate must lie in `[0, 1]` (NaN fails too).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::InvalidInjectionRate`] for a rate outside
+    /// `[0, 1]` or NaN.
+    pub fn check_injection_rate(rate: f64) -> Result<(), ConfigError> {
+        if (0.0..=1.0).contains(&rate) {
+            Ok(())
+        } else {
+            Err(ConfigError::InvalidInjectionRate { rate })
+        }
+    }
+}
+
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -261,21 +261,23 @@ struct Metric {
     /// `true` for throughput-like metrics where bigger numbers are better.
     higher_is_better: bool,
     /// Mesh-partition threads the workload stepped with, when the artifact
-    /// says (the `step_threads` sweep field, or a `_<N>t` bench-id suffix).
+    /// says (the `step_threads` sweep field, or a `_<N>t` bench-id token).
     /// Purely an annotation for the trend table; never compared.
     step_threads: Option<u64>,
 }
 
-/// Parses the `_<N>t` thread-count suffix convention of partitioned step
-/// benches (`step_8x8_saturated_mixed_2t` → 2). Ids without the suffix are
-/// the serial variants.
+/// Parses the `_<N>t` thread-count token of partitioned step benches: the
+/// last `_`-separated token of the form `<N>t`, so both
+/// `step_8x8_saturated_mixed_2t` and `step_16x16_hotspot_4t_rows` name their
+/// thread count. Ids without such a token are the serial variants.
 fn id_thread_suffix(id: &str) -> Option<u64> {
-    let digits = &id.strip_suffix('t')?[..id.len() - 1];
-    let digits = &digits[digits.rfind('_')? + 1..];
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
+    id.split_once('_')?.1.rsplit('_').find_map(|token| {
+        let digits = token.strip_suffix('t')?;
+        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        digits.parse().ok()
+    })
 }
 
 /// Extracts `bench_step/<id>` metrics (mean ns/iter, lower is better) from a
@@ -680,6 +682,9 @@ mod tests {
         assert_eq!(metrics[1].step_threads, Some(2));
         assert_eq!(id_thread_suffix("step_16x16_saturated_mixed"), None);
         assert_eq!(id_thread_suffix("step_8x8_saturated_mixed_12t"), Some(12));
+        assert_eq!(id_thread_suffix("step_16x16_hotspot_4t_rows"), Some(4));
+        assert_eq!(id_thread_suffix("step_16x16_hotspot_4t_tiles"), Some(4));
+        assert_eq!(id_thread_suffix("step_16x16_hotspot_4t_rebal"), Some(4));
         assert_eq!(id_thread_suffix("step_8x8_t"), None);
         assert_eq!(id_thread_suffix("t"), None);
     }
